@@ -61,6 +61,13 @@
 //!   edges — a superset of every relaxation's edges — which is sound and
 //!   at least as tight).
 //!
+//! An optimizer bounds many sub-queries of one query: its whole
+//! enumeration lattice goes through [`SafeBound::bound_subsets`] in one
+//! call. That path never materializes a sub-query: it resolves each
+//! relation's predicates once per query and caches plans per induced join
+//! topology (shape entries of predicate-free sub-queries), so it returns
+//! exactly the per-sub-query bounds at a fraction of their cost.
+//!
 //! Cyclic queries take the min over their relaxations by
 //! **branch-and-bound** instead of materialize-everything-then-min: the
 //! shape entry remembers the previously winning relaxation and evaluates
@@ -151,6 +158,12 @@ const MAX_LIKE_MEMO_VALUES: usize = 1024;
 /// entries plus per-relation conditioned-set entries combined; see
 /// [`crate::litcache`]). Clock-evicted at capacity, like the MCV memo.
 const MAX_LIT_ENTRIES: usize = 8192;
+
+/// Whole queries whose compiled directives a session keeps for
+/// [`StatsSnapshot::bound_subsets`]. Planning rarely repeats a whole
+/// query's shape (the sub-query topologies it does repeat live in the
+/// shape cache), so this only covers short runs of repeats.
+const MAX_COMPILED_QUERIES: usize = 64;
 
 /// Everything memoized for one query shape: the surviving acyclic
 /// relaxations' plans plus the literal-independent resolution directives.
@@ -292,6 +305,80 @@ impl AssembleStage {
             .find(|e| e.0 == rel && e.1 == sym)
             .map(|e| &e.2)
     }
+}
+
+/// The session's scratch for the relaxation loop
+/// ([`min_over_relaxations`]), shared by every entry point.
+#[derive(Debug, Default)]
+struct RelaxScratch {
+    asm_stage: AssembleStage,
+    kernel: BoundScratch,
+    rel_stats: Vec<RelationBoundStats>,
+    /// Relaxations abandoned by branch-and-bound since creation.
+    pruned: u64,
+}
+
+/// A whole query's compiled predicate directives, keyed by its shape:
+/// what [`StatsSnapshot::bound_subsets`] needs of a shape entry without
+/// its plans (those come per sub-query topology).
+#[derive(Debug)]
+struct CompiledQuery {
+    /// Shape exemplar (literal values are ignored by comparisons).
+    shape: Query,
+    /// The exemplar's [`Query::shape_hash`].
+    hash: u64,
+    /// Per relation: compiled own and propagated directives.
+    resolution: Vec<RelResolution>,
+}
+
+/// Session state of [`StatsSnapshot::bound_subsets`]. Buffers retain
+/// capacity across calls.
+#[derive(Debug, Default)]
+struct SubsetStage {
+    /// Recently compiled whole queries, at most [`MAX_COMPILED_QUERIES`].
+    compiled: Vec<CompiledQuery>,
+    /// The entry of `compiled` a new query replaces once it is full
+    /// (oldest first).
+    next_compiled: usize,
+    /// `(relation, in-mask propagation sources)` of each resolved entry of
+    /// `conds`, in order. Entry `rel < n` is relation `rel`'s own
+    /// predicate alone (no sources).
+    keys: Vec<(usize, u64)>,
+    /// Resolved conditioning, parallel to `keys` (may be longer: spare
+    /// slots from earlier calls keep their buffers).
+    conds: Vec<RelCond>,
+    /// Per relation: the relations whose predicates propagate to it.
+    sources: Vec<u64>,
+}
+
+impl SubsetStage {
+    /// Index into `conds` of relation `rel` under the sources that `mask`
+    /// selects (resolved by the first phase of `bound_subsets`).
+    fn cond_index(&self, rel: usize, mask: u64) -> usize {
+        let key = (rel, mask & self.sources[rel]);
+        if key.1 == 0 {
+            return rel;
+        }
+        let found = self.keys.iter().position(|k| *k == key);
+        debug_assert!(found.is_some(), "combination resolved up front");
+        // Own conditioning alone is a looser, still sound, fallback.
+        found.unwrap_or(rel)
+    }
+}
+
+/// Append `key` to a subset stage's keys and return its conditioning
+/// slot (a spare one when available).
+fn stage_slot<'a>(
+    keys: &mut Vec<(usize, u64)>,
+    conds: &'a mut Vec<RelCond>,
+    key: (usize, u64),
+) -> &'a mut RelCond {
+    let i = keys.len();
+    keys.push(key);
+    if conds.len() <= i {
+        conds.push(RelCond::default());
+    }
+    &mut conds[i]
 }
 
 /// A planned relaxation with its join-column resolution.
@@ -442,6 +529,87 @@ impl RelCond {
             None => &self.set,
         }
     }
+
+    /// Reset the slot and condition it on relation `rel`'s own predicate.
+    fn resolve_own(
+        &mut self,
+        ts: &TableStats,
+        query: &Query,
+        rel: usize,
+        res: &RelResolution,
+        cds: &mut CdsScratch,
+        memo: &mut Memos,
+    ) {
+        self.has_cond = false;
+        // Clear the locator from whatever query used this slot last:
+        // `cond_set` must never deref a stale index against another
+        // relation's statistics.
+        self.cond_ref = None;
+        if let (Some(p), Some(slots)) = (query.predicate_of(rel), res.own.as_ref()) {
+            apply_compiled(ts, slots, p, cds, memo, self);
+        }
+    }
+
+    /// Fold in the PK–FK propagations whose source relation `active`
+    /// accepts, in directive order.
+    fn propagate(
+        &mut self,
+        ts: &TableStats,
+        query: &Query,
+        res: &RelResolution,
+        active: impl Fn(usize) -> bool,
+        cds: &mut CdsScratch,
+        memo: &mut Memos,
+    ) {
+        for prop in &res.propagations {
+            if !active(prop.other_rel) {
+                continue;
+            }
+            let Some(pred) = query.predicate_of(prop.other_rel) else {
+                continue;
+            };
+            apply_compiled(ts, &prop.slots, pred, cds, memo, self);
+        }
+    }
+
+    /// The filtered-cardinality bound: the conditioned set's, capped at
+    /// the row count.
+    fn set_card(&mut self, ts: &TableStats) {
+        self.card = ts.row_count as f64;
+        if self.has_cond {
+            let s = self.cond_set(ts);
+            if !s.is_empty() {
+                self.card = s.cardinality().min(self.card);
+            }
+        }
+    }
+
+    /// Make `self` a copy of `src` (same conditioning, same locator).
+    fn copy_from(&mut self, src: &RelCond, cds: &mut CdsScratch) {
+        self.has_cond = src.has_cond;
+        self.cond_ref = src.cond_ref;
+        self.card = src.card;
+        if src.has_cond && src.cond_ref.is_none() {
+            cds.copy_set(&src.set, &mut self.set);
+        }
+    }
+}
+
+/// Whether relation `rel` is in the relation bitmask `mask` (relations
+/// past 63 never are).
+fn in_mask(mask: u64, rel: usize) -> bool {
+    rel < 64 && mask & (1 << rel) != 0
+}
+
+/// The relations of a bitmask, in increasing order.
+fn mask_rels(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let rel = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            rel
+        })
+    })
 }
 
 /// Word-level FNV mix step shared by the memo fingerprints.
@@ -1025,13 +1193,10 @@ pub struct BoundSession {
     memos: Memos,
     lit_cache: LitCache,
     lit_stage: LitStage,
-    asm_stage: AssembleStage,
-    kernel: BoundScratch,
+    relax: RelaxScratch,
     cds: CdsScratch,
-    rel_stats: Vec<RelationBoundStats>,
     cond: Vec<RelCond>,
-    /// Relaxations abandoned by branch-and-bound since creation.
-    pruned: u64,
+    subsets: SubsetStage,
     /// Whether to accumulate [`PhaseBreakdown`] timings.
     timing: bool,
     phases: PhaseBreakdown,
@@ -1068,12 +1233,10 @@ impl BoundSession {
             memos: Memos::default(),
             lit_cache: LitCache::with_capacity(MAX_LIT_ENTRIES),
             lit_stage: LitStage::default(),
-            asm_stage: AssembleStage::default(),
-            kernel: BoundScratch::default(),
+            relax: RelaxScratch::default(),
             cds: CdsScratch::default(),
-            rel_stats: Vec::new(),
             cond: Vec::new(),
-            pruned: 0,
+            subsets: SubsetStage::default(),
             timing: false,
             phases: PhaseBreakdown::default(),
             shape_hits: 0,
@@ -1113,7 +1276,7 @@ impl BoundSession {
             lit_cond_hits: self.lit_cache.cond_hits,
             lit_cond_misses: self.lit_cache.cond_misses,
             lit_evictions: self.lit_cache.evictions,
-            relaxations_pruned: self.pruned,
+            relaxations_pruned: self.relax.pruned,
         }
     }
 
@@ -1154,13 +1317,24 @@ impl BoundSession {
         self.phases
     }
 
-    /// Re-target the session at a (different) snapshot: cached shapes,
-    /// slots, and memoized lookups are meaningless under any other build.
+    /// Serve from `snap`. A session may outlive a statistics swap (data
+    /// refresh): cached plans' interned symbols, filter slots, and
+    /// memoized lookups are only valid against the build that produced
+    /// them, so a different build flushes them all.
     fn attach(&mut self, snap: &Arc<StatsSnapshot>) {
+        if self
+            .snapshot
+            .as_ref()
+            .is_some_and(|s| s.build_id == snap.build_id)
+        {
+            return;
+        }
         self.shapes.clear();
         self.index.clear();
         self.memos.clear();
         self.lit_cache.clear();
+        self.subsets.compiled.clear();
+        self.subsets.next_compiled = 0;
         self.snapshot = Some(snap.clone());
     }
 
@@ -1196,6 +1370,41 @@ impl BoundSession {
             }
         }
         self.shape_evictions += 1;
+    }
+
+    /// Index of the cached entry under `hash` whose exemplar `matches`
+    /// accepts; on a miss, `build(tick, uid)` makes one, evicting the
+    /// least-recently-used entry at capacity. The index is valid until
+    /// the next lookup (eviction moves entries).
+    fn lookup_or_build(
+        &mut self,
+        hash: u64,
+        matches: impl Fn(&Query) -> bool,
+        build: impl FnOnce(u64, u64) -> ShapeEntry,
+    ) -> usize {
+        self.tick += 1;
+        let tick = self.tick;
+        let cached = self.index.get(&hash).and_then(|bucket| {
+            bucket
+                .iter()
+                .copied()
+                .find(|&i| matches(&self.shapes[i].shape))
+        });
+        if let Some(i) = cached {
+            self.shape_hits += 1;
+            self.shapes[i].last_used = tick;
+            return i;
+        }
+        self.shape_misses += 1;
+        if self.shapes.len() >= self.shape_capacity {
+            self.evict_lru();
+        }
+        let uid = self.next_shape_uid;
+        self.next_shape_uid += 1;
+        self.shapes.push(build(tick, uid));
+        let i = self.shapes.len() - 1;
+        self.index.entry(hash).or_default().push(i);
+        i
     }
 }
 
@@ -1312,12 +1521,35 @@ impl SafeBound {
         query: &Query,
         session: &mut BoundSession,
     ) -> Result<f64, EstimateError> {
+        self.session_snapshot(session)
+            .bound_with_session(query, session)
+    }
+
+    /// The snapshot a call through this handle serves from: the session's
+    /// own when it tracks the current build (one atomic load, no lock).
+    fn session_snapshot(&self, session: &BoundSession) -> Arc<StatsSnapshot> {
         let current = self.build_id();
-        let snap = match &session.snapshot {
+        match &session.snapshot {
             Some(s) if s.build_id == current => s.clone(),
             _ => self.snapshot(),
-        };
-        snap.bound_with_session(query, session)
+        }
+    }
+
+    /// Bound many sub-queries of one query in one pass — an optimizer's
+    /// whole enumeration lattice. `out` is cleared and receives, per
+    /// entry of `masks`, exactly
+    /// `self.bound_with_session(&query.induced(mask), session)`, bit for
+    /// bit, without materializing any sub-query. See
+    /// [`StatsSnapshot::bound_subsets`].
+    pub fn bound_subsets(
+        &self,
+        query: &Query,
+        masks: &[u64],
+        session: &mut BoundSession,
+        out: &mut Vec<Result<f64, EstimateError>>,
+    ) {
+        self.session_snapshot(session)
+            .bound_subsets(query, masks, session, out);
     }
 
     /// The per-relaxation FDSB kernel inputs for a query, against the
@@ -1341,16 +1573,7 @@ impl StatsSnapshot {
         query: &Query,
         session: &mut BoundSession,
     ) -> Result<f64, EstimateError> {
-        // A session may outlive a statistics swap (data refresh): cached
-        // plans' interned symbols, filter slots, and memoized lookups are
-        // only valid against the build that produced them.
-        if session
-            .snapshot
-            .as_ref()
-            .is_none_or(|s| s.build_id != self.build_id)
-        {
-            session.attach(self);
-        }
+        session.attach(self);
         self.bound_cached(query, session)
     }
 
@@ -1393,34 +1616,11 @@ impl StatsSnapshot {
             return Ok(0.0);
         }
         let hash = query.shape_hash();
-        session.tick += 1;
-        let tick = session.tick;
-        let cached = session.index.get(&hash).and_then(|bucket| {
-            bucket
-                .iter()
-                .copied()
-                .find(|&i| session.shapes[i].shape.same_shape(query))
-        });
-        let idx = match cached {
-            Some(i) => {
-                session.shape_hits += 1;
-                session.shapes[i].last_used = tick;
-                i
-            }
-            None => {
-                session.shape_misses += 1;
-                if session.shapes.len() >= session.shape_capacity {
-                    session.evict_lru();
-                }
-                let uid = session.next_shape_uid;
-                session.next_shape_uid += 1;
-                let entry = self.build_shape_entry(query, hash, tick, uid);
-                session.shapes.push(entry);
-                let i = session.shapes.len() - 1;
-                session.index.entry(hash).or_default().push(i);
-                i
-            }
-        };
+        let idx = session.lookup_or_build(
+            hash,
+            |s| s.same_shape(query),
+            |tick, uid| self.build_shape_entry(query, hash, tick, uid),
+        );
 
         let timing = session.timing;
         // lint: allow(determinism) -- opt-in phase timing: `timing` is
@@ -1431,12 +1631,9 @@ impl StatsSnapshot {
             memos,
             lit_cache,
             lit_stage,
-            asm_stage,
-            kernel,
+            relax,
             cds,
-            rel_stats,
             cond,
-            pruned,
             phases,
             ..
         } = session;
@@ -1470,85 +1667,236 @@ impl StatsSnapshot {
             phases.resolve_ns += t.elapsed().as_nanos() as u64;
         }
 
-        // Tier 3: branch-and-bound over the relaxations, previous winner
-        // first, assembly shared across candidates.
-        let n = query.num_relations();
-        while rel_stats.len() < n {
-            rel_stats.push(RelationBoundStats::default());
-        }
-        let plans = &entry.plans;
-        let multi = plans.len() > 1;
-        if multi {
-            asm_stage.begin(cds);
-        }
-        let first = if entry.last_winner < plans.len() {
-            entry.last_winner
-        } else {
-            0
-        };
-        let mut best = f64::INFINITY;
-        let mut winner = first;
-        for k in 0..plans.len() {
-            // Candidate order: `first`, then the rest in index order.
-            let idx_k = if k == 0 {
-                first
-            } else if k - 1 < first {
-                k - 1
-            } else {
-                k
-            };
-            let pe = &plans[idx_k];
-            // lint: allow(determinism) -- opt-in phase timing: `timing`
-            // is only true when the caller asked for a PhaseBreakdown
-            let t_assemble = timing.then(Instant::now);
-            for rel in 0..n {
+        // Tier 3: branch-and-bound over the relaxations.
+        let (result, winner) = min_over_relaxations(
+            entry,
+            query.num_relations(),
+            |rel| {
                 let ts = self
                     .tables
                     .get(&query.relations[rel].table)
                     // lint: allow(no-panic) -- resolution (which built
                     // `cond`) already returned Err for any unknown table
                     .expect("tables validated during resolution");
-                assemble_into(
-                    ts,
-                    &cond[rel],
-                    rel,
-                    &pe.join_cols[rel],
-                    &mut rel_stats[rel],
-                    cds,
-                    multi.then_some(&mut *asm_stage),
-                );
-            }
-            // lint: allow(determinism) -- opt-in phase timing: `timing`
-            // is only true when the caller asked for a PhaseBreakdown
-            let t_kernel = timing.then(Instant::now);
-            if let (Some(a), Some(b)) = (t_assemble, t_kernel) {
-                phases.assemble_ns += (b - a).as_nanos() as u64;
-            }
-            match fdsb_with_cutoff(&pe.plan, &rel_stats[..n], kernel, best)? {
-                Some(b) => {
-                    if b < best {
-                        best = b;
-                        winner = idx_k;
-                    }
-                }
-                None => *pruned += 1,
-            }
-            if let Some(t) = t_kernel {
-                phases.kernel_ns += t.elapsed().as_nanos() as u64;
-            }
-        }
-        let result = if best.is_finite() {
-            best
-        } else {
-            // No Berge-acyclic relaxation survived (pathologically cyclic
-            // query or an exhausted spanning-tree cap): degrade to the
-            // cross-product of per-relation conditioned cardinality
-            // bounds, which is always a sound upper bound.
-            cond[..n].iter().map(|c| c.card).product()
-        };
+                (ts, &cond[rel])
+            },
+            relax,
+            cds,
+            timing.then_some(&mut *phases),
+        )?;
         if lit_enabled {
             lit_cache.insert_bound(entry.uid, lit_stage.full_fp, &lit_stage.full, result, cds);
         }
+        if timing {
+            phases.queries += 1;
+        }
+        shapes[idx].last_winner = winner;
+        Ok(result)
+    }
+
+    /// The engine under [`SafeBound::bound_subsets`]: per entry of
+    /// `masks` (bits index `query.relations`; relations past 63 are never
+    /// selected), the bound of the sub-query `query.induced(mask)` would
+    /// give, written to the cleared `out` in mask order.
+    ///
+    /// No sub-query is materialized. Every relation's predicate
+    /// directives are compiled once for the whole query (and kept for the
+    /// session's most recent query shapes). The first
+    /// phase resolves each relation's own predicate once, and its PK–FK
+    /// conditioning once per distinct set of propagation sources some
+    /// mask selects. The second phase evaluates each mask against its
+    /// induced join topology's plans — shape-cache entries of the
+    /// predicate-free sub-query, found by [`Query::topology_hash`] and the
+    /// exact [`Query::same_topology`], so a hash collision misses instead
+    /// of mis-serving — through the same relaxation loop as
+    /// [`StatsSnapshot::bound_with_session`]. A mask that selects a table
+    /// without statistics fails alone with
+    /// [`EstimateError::UnknownTable`]. With the query shape, its
+    /// topologies and its literal values warm, a call allocates nothing
+    /// beyond `out`'s capacity.
+    ///
+    /// # Equivalence with the per-mask path
+    ///
+    /// Every input of `query.induced(mask)`'s bound is reproduced
+    /// exactly. Its spanning relaxations, join graphs, plans and join
+    /// symbols read only tables and join edges, which the topology entry
+    /// holds. Its own-predicate slots are the whole query's. Its
+    /// propagations are the whole query's directives whose edge lies
+    /// inside the mask, in the same order (see `build_shape_entry`), and a
+    /// relation's conditioning is replayed from a copy of its
+    /// own-predicate resolution with those directives folded in through
+    /// the same `apply_compiled`. The
+    /// session caches this bypasses (literal cache, resolve memos) only
+    /// ever return what they memoized, so the bound is bit-identical.
+    pub fn bound_subsets(
+        self: &Arc<Self>,
+        query: &Query,
+        masks: &[u64],
+        session: &mut BoundSession,
+        out: &mut Vec<Result<f64, EstimateError>>,
+    ) {
+        session.attach(self);
+        out.clear();
+        let n = query.num_relations().min(64);
+        let valid = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let timing = session.timing;
+        // lint: allow(determinism) -- opt-in phase timing: `timing` is
+        // only true when the caller asked for a PhaseBreakdown
+        let t_resolve = timing.then(Instant::now);
+
+        // Phase 1: resolve every (relation, in-mask sources) combination
+        // the masks need, from the whole query's compiled directives.
+        let mut tables: [Option<&TableStats>; 64] = [None; 64];
+        for (rel, slot) in tables.iter_mut().enumerate().take(n) {
+            *slot = self.tables.get(&query.relations[rel].table);
+        }
+        let BoundSession {
+            memos,
+            cds,
+            subsets: stage,
+            ..
+        } = &mut *session;
+        let compiled = self.compiled_index(query, stage);
+        let SubsetStage {
+            compiled: queries,
+            keys,
+            conds,
+            sources,
+            ..
+        } = stage;
+        let resolution = &queries[compiled].resolution;
+        keys.clear();
+        sources.clear();
+        for rel in 0..n {
+            sources.push(
+                resolution[rel]
+                    .propagations
+                    .iter()
+                    .filter(|p| p.other_rel < 64)
+                    .fold(0u64, |acc, p| acc | 1 << p.other_rel),
+            );
+            let rc = stage_slot(keys, conds, (rel, 0));
+            if let Some(ts) = tables[rel] {
+                rc.resolve_own(ts, query, rel, &resolution[rel], cds, memos);
+                rc.set_card(ts);
+            }
+        }
+        for &mask in masks {
+            let mask = mask & valid;
+            for rel in mask_rels(mask) {
+                let key = (rel, mask & sources[rel]);
+                let Some(ts) = tables[rel] else { continue };
+                if key.1 == 0 || keys.contains(&key) {
+                    continue;
+                }
+                let i = keys.len();
+                stage_slot(keys, conds, key);
+                let (own, rest) = conds.split_at_mut(i);
+                let rc = &mut rest[0];
+                rc.copy_from(&own[rel], cds);
+                rc.propagate(
+                    ts,
+                    query,
+                    &resolution[rel],
+                    |src| in_mask(key.1, src),
+                    cds,
+                    memos,
+                );
+                rc.set_card(ts);
+            }
+        }
+        if let Some(t) = t_resolve {
+            session.phases.resolve_ns += t.elapsed().as_nanos() as u64;
+        }
+
+        // Phase 2: each mask against its topology's plans.
+        for &mask in masks {
+            let mask = mask & valid;
+            out.push(self.bound_mask(query, mask, &tables, session));
+        }
+    }
+
+    /// Index into `stage.compiled` of the query's compiled directives,
+    /// compiling them (and replacing the oldest entry at capacity) on a
+    /// miss.
+    fn compiled_index(&self, query: &Query, stage: &mut SubsetStage) -> usize {
+        let hash = query.shape_hash();
+        if let Some(i) = stage
+            .compiled
+            .iter()
+            .position(|c| c.hash == hash && c.shape.same_shape(query))
+        {
+            return i;
+        }
+        let entry = CompiledQuery {
+            shape: query.clone(),
+            hash,
+            resolution: self.compile_resolution(query),
+        };
+        if stage.compiled.len() < MAX_COMPILED_QUERIES {
+            stage.compiled.push(entry);
+            return stage.compiled.len() - 1;
+        }
+        let i = stage.next_compiled;
+        stage.compiled[i] = entry;
+        stage.next_compiled = (i + 1) % MAX_COMPILED_QUERIES;
+        i
+    }
+
+    /// One mask of [`StatsSnapshot::bound_subsets`], after its first
+    /// phase resolved the mask's conditioning into the session.
+    fn bound_mask(
+        &self,
+        query: &Query,
+        mask: u64,
+        tables: &[Option<&TableStats>; 64],
+        session: &mut BoundSession,
+    ) -> Result<f64, EstimateError> {
+        // Relation `k` of the induced sub-query: its statistics and the
+        // index of its conditioning in the subset stage.
+        let mut picked: [Option<(&TableStats, usize)>; 64] = [None; 64];
+        let mut k = 0;
+        for rel in mask_rels(mask) {
+            let Some(ts) = tables[rel] else {
+                return Err(EstimateError::UnknownTable(
+                    query.relations[rel].table.clone(),
+                ));
+            };
+            picked[k] = Some((ts, session.subsets.cond_index(rel, mask)));
+            k += 1;
+        }
+        if k == 0 {
+            return Ok(0.0);
+        }
+        let hash = query.topology_hash(mask);
+        let idx = session.lookup_or_build(
+            hash,
+            |s| query.same_topology(mask, s),
+            |tick, uid| self.build_shape_entry(&query.induced_topology(mask), hash, tick, uid),
+        );
+        let timing = session.timing;
+        let BoundSession {
+            shapes,
+            relax,
+            cds,
+            subsets,
+            phases,
+            ..
+        } = session;
+        let conds = &subsets.conds;
+        let (result, winner) = min_over_relaxations(
+            &shapes[idx],
+            k,
+            |rel| match picked[rel] {
+                Some((ts, i)) => (ts, &conds[i]),
+                // lint: allow(no-panic) -- the loop above filled one
+                // entry per selected relation, and `rel < k`
+                None => unreachable!("relation {rel} of the mask was picked"),
+            },
+            relax,
+            cds,
+            timing.then_some(&mut *phases),
+        )?;
         if timing {
             phases.queries += 1;
         }
@@ -1617,7 +1965,30 @@ impl StatsSnapshot {
     /// conditioned row set still contains every result row — and sharing
     /// it across relaxations both tightens cyclic bounds and lets the
     /// resolution run once per query.
+    ///
+    /// The directives are built edge by edge in query order, so the
+    /// entry of `query.induced(mask)` holds exactly the whole query's
+    /// directives whose edge lies inside the mask, in the same order —
+    /// the induced query keeps those edges, in order, and nothing else.
+    /// That is why [`StatsSnapshot::bound_subsets`] may compile the whole
+    /// query once and, per mask, fold in only the propagations whose
+    /// source is in the mask: each mask sees the same directives, applied
+    /// in the same order, as the induced query's own entry.
     fn build_shape_entry(&self, query: &Query, hash: u64, tick: u64, uid: u64) -> ShapeEntry {
+        ShapeEntry {
+            shape: query.clone(),
+            hash,
+            uid,
+            last_used: tick,
+            plans: self.plan_relaxations(query),
+            last_winner: 0,
+            resolution: self.compile_resolution(query),
+        }
+    }
+
+    /// The plans of a query's Berge-acyclic spanning relaxations, with
+    /// their join columns resolved (reads only tables and join edges).
+    fn plan_relaxations(&self, query: &Query) -> Vec<PlanEntry> {
         let relaxations =
             safebound_query::spanning_relaxations(query, self.config.spanning_tree_cap);
         let mut plans = Vec::new();
@@ -1644,7 +2015,12 @@ impl StatsSnapshot {
             }
             plans.push(PlanEntry { plan, join_cols });
         }
+        plans
+    }
 
+    /// Every relation's predicate directives — own and PK–FK-propagated —
+    /// compiled to filter slots (see [`StatsSnapshot::build_shape_entry`]).
+    fn compile_resolution(&self, query: &Query) -> Vec<RelResolution> {
         let mut resolution: Vec<RelResolution> = (0..query.num_relations())
             .map(|_| RelResolution::default())
             .collect();
@@ -1689,15 +2065,7 @@ impl StatsSnapshot {
                 }
             }
         }
-        ShapeEntry {
-            shape: query.clone(),
-            hash,
-            uid,
-            last_used: tick,
-            plans,
-            last_winner: 0,
-            resolution,
-        }
+        resolution
     }
 
     /// Resolve every relation's predicates (own + propagated) into the
@@ -1705,7 +2073,7 @@ impl StatsSnapshot {
     /// shared by all relaxations' assemblies. When `lit` carries the
     /// session's literal cache, relations whose literal sub-vector (own
     /// predicate plus every propagated source, staged by
-    /// [`stage_literals`]) repeats copy their conditioned set straight
+    /// [`stage_rel_literals`]) repeats copy their conditioned set straight
     /// from the cache; fresh sub-vectors resolve and are memoized.
     fn resolve_relations(
         &self,
@@ -1751,36 +2119,13 @@ impl StatsSnapshot {
             }
 
             let rc = &mut cond[rel];
-            rc.has_cond = false;
-            // Clear the locator from whatever query used this slot last:
-            // `cond_set` must never deref a stale index against another
-            // relation's statistics (even the unconditioned insert path
-            // below reads it).
-            rc.cond_ref = None;
-
             // 1. Condition on the relation's own predicates.
-            if let (Some(p), Some(slots)) =
-                (query.predicate_of(rel), entry.resolution[rel].own.as_ref())
-            {
-                apply_compiled(ts, slots, p, cds, memo, rc);
-            }
+            rc.resolve_own(ts, query, rel, &entry.resolution[rel], cds, memo);
 
             // 2. PK–FK propagation: predicates on joined dimension tables,
             //    via the shape entry's pre-compiled slots.
-            for prop in &entry.resolution[rel].propagations {
-                let Some(pred) = query.predicate_of(prop.other_rel) else {
-                    continue;
-                };
-                apply_compiled(ts, &prop.slots, pred, cds, memo, rc);
-            }
-
-            rc.card = ts.row_count as f64;
-            if rc.has_cond {
-                let s = rc.cond_set(ts);
-                if !s.is_empty() {
-                    rc.card = s.cardinality().min(rc.card);
-                }
-            }
+            rc.propagate(ts, query, &entry.resolution[rel], |_| true, cds, memo);
+            rc.set_card(ts);
 
             if let Some((cache, stage)) = lit.as_mut() {
                 let bytes = &stage.rel_bytes[rel];
@@ -2162,6 +2507,97 @@ fn resolve_slots<'a>(
             Resolved::None
         }
     }
+}
+
+/// Tier 3 of every bound: branch-and-bound over a shape entry's
+/// relaxations, the previous winner first (see
+/// [`StatsSnapshot::bound_cached`] for why pruning never changes the
+/// min). `rel_at(k)` gives relation `k`'s statistics and resolved
+/// conditioning, for `k < n`. Returns the bound and the relaxation that
+/// won, falling back to the cross-product of the relations' cardinality
+/// bounds when no relaxation survived planning.
+fn min_over_relaxations<'s>(
+    entry: &ShapeEntry,
+    n: usize,
+    rel_at: impl Fn(usize) -> (&'s TableStats, &'s RelCond),
+    relax: &mut RelaxScratch,
+    cds: &mut CdsScratch,
+    mut phases: Option<&mut PhaseBreakdown>,
+) -> Result<(f64, usize), EstimateError> {
+    let RelaxScratch {
+        asm_stage,
+        kernel,
+        rel_stats,
+        pruned,
+    } = relax;
+    while rel_stats.len() < n {
+        rel_stats.push(RelationBoundStats::default());
+    }
+    let plans = &entry.plans;
+    let multi = plans.len() > 1;
+    if multi {
+        asm_stage.begin(cds);
+    }
+    let first = if entry.last_winner < plans.len() {
+        entry.last_winner
+    } else {
+        0
+    };
+    let timing = phases.is_some();
+    let mut best = f64::INFINITY;
+    let mut winner = first;
+    for k in 0..plans.len() {
+        // Candidate order: `first`, then the rest in index order.
+        let idx_k = if k == 0 {
+            first
+        } else if k - 1 < first {
+            k - 1
+        } else {
+            k
+        };
+        let pe = &plans[idx_k];
+        // lint: allow(determinism) -- opt-in phase timing: `timing` is
+        // only true when the caller asked for a PhaseBreakdown
+        let t_assemble = timing.then(Instant::now);
+        for (rel, stats) in rel_stats[..n].iter_mut().enumerate() {
+            let (ts, rc) = rel_at(rel);
+            assemble_into(
+                ts,
+                rc,
+                rel,
+                &pe.join_cols[rel],
+                stats,
+                cds,
+                multi.then_some(&mut *asm_stage),
+            );
+        }
+        // lint: allow(determinism) -- opt-in phase timing: `timing` is
+        // only true when the caller asked for a PhaseBreakdown
+        let t_kernel = timing.then(Instant::now);
+        if let (Some(p), Some(a), Some(b)) = (phases.as_deref_mut(), t_assemble, t_kernel) {
+            p.assemble_ns += (b - a).as_nanos() as u64;
+        }
+        match fdsb_with_cutoff(&pe.plan, &rel_stats[..n], kernel, best)? {
+            Some(b) => {
+                if b < best {
+                    best = b;
+                    winner = idx_k;
+                }
+            }
+            None => *pruned += 1,
+        }
+        if let (Some(p), Some(t)) = (phases.as_deref_mut(), t_kernel) {
+            p.kernel_ns += t.elapsed().as_nanos() as u64;
+        }
+    }
+    if best.is_finite() {
+        return Ok((best, winner));
+    }
+    // No Berge-acyclic relaxation survived (pathologically cyclic query
+    // or an exhausted spanning-tree cap): degrade to the cross-product of
+    // per-relation conditioned cardinality bounds, which is always a
+    // sound upper bound.
+    Ok(((0..n).map(|rel| rel_at(rel).1.card).product(), winner))
 }
 
 /// Combine base/conditioned/fallback CDSs into the FDSB input for one

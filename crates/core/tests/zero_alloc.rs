@@ -453,3 +453,72 @@ fn steady_state_parallel_worker_sessions_allocate_nothing() {
         }
     });
 }
+
+#[test]
+fn steady_state_bound_subsets_allocates_nothing() {
+    // The optimizer's batched path: a warm session bounds a whole
+    // enumeration lattice per call — topology lookups, per-relation
+    // resolution and propagation replay, relaxation loop — into a
+    // caller-provided buffer without one allocation, even when each call
+    // carries a literal combination the session has not seen (every
+    // single value is warm in the resolve memos, whose growth on new
+    // values is a separate, bounded cost).
+    let catalog = end_to_end_catalog();
+    let sb = SafeBound::build(&catalog, SafeBoundConfig::test_small());
+    let star = |year: i64, w: i64, hi: i64| {
+        parse_sql(&format!(
+            "SELECT COUNT(*) FROM fact f, dim d, fact g \
+             WHERE f.fk = d.id AND g.fk = d.id AND f.year = {year} \
+             AND d.w = {w} AND g.year BETWEEN 1990 AND {hi}"
+        ))
+        .unwrap()
+    };
+    let pair = |w: i64, pattern: &str| {
+        parse_sql(&format!(
+            "SELECT COUNT(*) FROM fact f, dim d \
+             WHERE f.fk = d.id AND d.w IN ({w}, 2) AND d.name LIKE '{pattern}'"
+        ))
+        .unwrap()
+    };
+    let patterns = ["%alph%", "%rav%", "cha%lie", "%o%"];
+    let mut warm_up = Vec::new();
+    let mut fresh = Vec::new();
+    for i in 0..8i64 {
+        warm_up.push(star(1990 + i, i % 3, 1991 + i % 5));
+        warm_up.push(pair(i % 3, patterns[i as usize % 4]));
+        // Same values, new combinations: in `star`, `w` never pairs with
+        // the year it was warmed with.
+        let y = (3 * i) % 8;
+        fresh.push(star(1990 + y, (y + 1) % 3, 1991 + (y + 2) % 5));
+        fresh.push(pair((i + 1) % 3, patterns[i as usize % 4]));
+    }
+    let lattice: Vec<u64> = (1..8).collect();
+
+    let mut session = BoundSession::default();
+    let mut out = Vec::with_capacity(lattice.len());
+    for _ in 0..4 {
+        for q in &warm_up {
+            let masks = &lattice[..(1 << q.num_relations()) - 1];
+            sb.bound_subsets(q, masks, &mut session, &mut out);
+        }
+    }
+    let shapes = session.cached_shapes();
+
+    let before = allocation_count();
+    let mut acc = 0.0;
+    for q in &fresh {
+        let masks = &lattice[..(1 << q.num_relations()) - 1];
+        sb.bound_subsets(q, masks, &mut session, &mut out);
+        acc += out.iter().map(|r| r.as_ref().unwrap()).sum::<f64>();
+    }
+    let after = allocation_count();
+    assert_eq!(
+        after - before,
+        0,
+        "warm bound_subsets allocated {} times over {} calls",
+        after - before,
+        fresh.len()
+    );
+    assert!(acc.is_finite() && acc > 0.0);
+    assert_eq!(session.cached_shapes(), shapes, "every topology was warm");
+}

@@ -11,7 +11,10 @@
 //! Plan space: bushy hash joins plus index nested-loop joins into base
 //! relations with an index on the join column. Exhaustive DP over connected
 //! subgraphs up to [`Optimizer::dp_limit`] relations, greedy left-deep
-//! beyond (mirroring Postgres' GEQO fallback).
+//! beyond (mirroring Postgres' GEQO fallback). The DP knows every subset
+//! it will cost before it starts, so it asks for all their estimates in
+//! one [`CardinalityEstimator::estimate_subsets`] call; greedy asks mask
+//! by mask.
 
 use crate::cost::CostModel;
 use crate::plan::PhysPlan;
@@ -26,6 +29,18 @@ pub trait CardinalityEstimator {
     /// Estimated output cardinality of the sub-query induced by `mask`
     /// (bits index `query.relations`). Implementations may cache.
     fn estimate(&mut self, query: &Query, mask: u64) -> f64;
+    /// Estimates for many sub-queries of one query: `out` is cleared and
+    /// receives `estimate(query, mask)` for each entry of `masks`, in
+    /// order. The DP asks for its whole lattice in one call, so an
+    /// estimator can share per-query work across masks; the default
+    /// estimates mask by mask.
+    fn estimate_subsets(&mut self, query: &Query, masks: &[u64], out: &mut Vec<f64>) {
+        out.clear();
+        for &mask in masks {
+            let e = self.estimate(query, mask);
+            out.push(e);
+        }
+    }
 }
 
 /// The optimizer.
@@ -62,25 +77,22 @@ impl Optimizer {
     ) -> PhysPlan {
         let n = query.num_relations();
         assert!((1..=63).contains(&n), "1..=63 relations supported");
-        let mut cards: HashMap<u64, f64> = HashMap::new();
-        let mut card = |mask: u64, est: &mut dyn CardinalityEstimator| -> f64 {
-            *cards
-                .entry(mask)
-                .or_insert_with(|| est.estimate(query, mask).max(1.0))
-        };
-
-        // Relation adjacency from join edges.
-        let mut adj = vec![0u64; n];
-        for j in &query.joins {
-            adj[j.left] |= 1 << j.right;
-            adj[j.right] |= 1 << j.left;
+        let adj = adjacency(query);
+        if n > self.dp_limit {
+            return self.greedy(query, indexed_columns, &adj, &mut lazy_cards(query, est));
         }
-
-        if n <= self.dp_limit {
-            self.dp(query, indexed_columns, &adj, &mut card, est)
-        } else {
-            self.greedy(query, indexed_columns, &adj, &mut card, est)
-        }
+        // The DP's estimates are known up front: one batched call.
+        let masks = dp_masks(n, &adj);
+        let mut estimates = Vec::with_capacity(masks.len());
+        est.estimate_subsets(query, &masks, &mut estimates);
+        let cards: HashMap<u64, f64> = masks
+            .iter()
+            .zip(&estimates)
+            .map(|(&mask, &e)| (mask, e.max(1.0)))
+            .collect();
+        self.dp(query, indexed_columns, &masks, &mut |mask| {
+            *cards.get(&mask).expect("the DP asks only for its masks")
+        })
     }
 
     /// True iff an INLJ into `inner` is possible from `outer_mask`: some
@@ -109,33 +121,22 @@ impl Optimizer {
         &self,
         query: &Query,
         indexed_columns: &[Vec<String>],
-        adj: &[u64],
-        card: &mut impl FnMut(u64, &mut dyn CardinalityEstimator) -> f64,
-        est: &mut dyn CardinalityEstimator,
+        masks: &[u64],
+        card: &mut impl FnMut(u64) -> f64,
     ) -> PhysPlan {
         let n = query.num_relations();
-        let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let full: u64 = (1u64 << n) - 1;
         let mut best: HashMap<u64, (f64, PhysPlan)> = HashMap::new();
         for rel in 0..n {
             let mask = 1u64 << rel;
-            let c = card(mask, est);
+            let c = card(mask);
             let plan = PhysPlan::Scan { rel, mask, card: c };
             let cost = plan.cost(&self.cost);
             best.insert(mask, (cost, plan));
         }
 
-        // Masks in increasing popcount order.
-        let mut masks: Vec<u64> = (1..=full).collect();
-        masks.retain(|m| m.count_ones() >= 2);
-        masks.sort_by_key(|m| m.count_ones());
-
-        for &mask in &masks {
-            // Skip disconnected masks (joined by cartesian product only) —
-            // except the full mask, which must always get a plan.
-            let connected = is_connected(mask, adj);
-            if !connected && mask != full {
-                continue;
-            }
+        // Joined subsets in increasing size (see `dp_masks`).
+        for &mask in masks.iter().filter(|m| m.count_ones() >= 2) {
             let mut best_here: Option<(f64, PhysPlan)> = None;
             // Enumerate proper submask splits.
             let mut sub = (mask - 1) & mask;
@@ -150,7 +151,7 @@ impl Optimizer {
                 if let (Some((_, pa)), Some((_, pb))) = (best.get(&sub), best.get(&other)) {
                     let joined = connected_pair(query, sub, other) || mask == full;
                     if joined {
-                        let out_card = card(mask, est);
+                        let out_card = card(mask);
                         for (build, probe) in [(pa, pb), (pb, pa)] {
                             let plan = PhysPlan::HashJoin {
                                 build: Box::new(build.clone()),
@@ -200,15 +201,14 @@ impl Optimizer {
         query: &Query,
         indexed_columns: &[Vec<String>],
         adj: &[u64],
-        card: &mut impl FnMut(u64, &mut dyn CardinalityEstimator) -> f64,
-        est: &mut dyn CardinalityEstimator,
+        card: &mut impl FnMut(u64) -> f64,
     ) -> PhysPlan {
         let n = query.num_relations();
         // Start from the smallest estimated relation.
         let mut start = 0usize;
         let mut best_c = f64::INFINITY;
         for rel in 0..n {
-            let c = card(1 << rel, est);
+            let c = card(1 << rel);
             if c < best_c {
                 best_c = c;
                 start = rel;
@@ -226,7 +226,7 @@ impl Optimizer {
             let mut pick: Option<(usize, f64)> = None;
             for (pos, &rel) in remaining.iter().enumerate() {
                 let connected = adj[rel] & mask != 0;
-                let c = card(mask | (1 << rel), est);
+                let c = card(mask | (1 << rel));
                 let score = if connected { c } else { c * 1e12 };
                 if pick.is_none_or(|(_, s)| score < s) {
                     pick = Some((pos, score));
@@ -235,8 +235,8 @@ impl Optimizer {
             let (pos, _) = pick.unwrap();
             let rel = remaining.remove(pos);
             let new_mask = mask | (1 << rel);
-            let out_card = card(new_mask, est);
-            let inner_card = card(1 << rel, est);
+            let out_card = card(new_mask);
+            let inner_card = card(1 << rel);
             let scan = PhysPlan::Scan {
                 rel,
                 mask: 1 << rel,
@@ -275,13 +275,57 @@ impl Optimizer {
     }
 }
 
-/// Is the relation subset connected under the join edges?
-fn is_connected(mask: u64, adj: &[u64]) -> bool {
-    if mask == 0 {
-        return false;
+/// Per relation, the bitmask of relations it shares a join edge with.
+fn adjacency(query: &Query) -> Vec<u64> {
+    let mut adj = vec![0u64; query.num_relations()];
+    for j in &query.joins {
+        adj[j.left] |= 1 << j.right;
+        adj[j.right] |= 1 << j.left;
     }
-    let start = mask.trailing_zeros() as usize;
-    let mut seen = 1u64 << start;
+    adj
+}
+
+/// Per-mask estimates on demand, each estimated once (clamped to ≥ 1).
+fn lazy_cards<'a>(
+    query: &'a Query,
+    est: &'a mut dyn CardinalityEstimator,
+) -> impl FnMut(u64) -> f64 + 'a {
+    let mut cards: HashMap<u64, f64> = HashMap::new();
+    move |mask| {
+        *cards
+            .entry(mask)
+            .or_insert_with(|| est.estimate(query, mask).max(1.0))
+    }
+}
+
+/// The subsets the DP plans, which are exactly those it estimates, in
+/// the order it plans them: singletons, connected subsets by size, then
+/// the full set if it is disconnected but plannable — two components,
+/// joined by a cartesian product. (Disconnected proper subsets are never
+/// planned; with three or more components no split of the full set has a
+/// plan on both sides.)
+fn dp_masks(n: usize, adj: &[u64]) -> Vec<u64> {
+    let full: u64 = (1u64 << n) - 1;
+    let mut joined: Vec<u64> = (1..=full)
+        .filter(|&m| m.count_ones() >= 2 && is_connected(m, adj))
+        .collect();
+    joined.sort_by_key(|m| m.count_ones());
+    let mut masks: Vec<u64> = (0..n).map(|rel| 1 << rel).collect();
+    masks.extend(joined);
+    let rest = full & !component(full, adj);
+    if rest != 0 && component(rest, adj) == rest {
+        masks.push(full);
+    }
+    masks
+}
+
+/// The relations of `mask` reachable from its lowest one through join
+/// edges inside `mask`.
+fn component(mask: u64, adj: &[u64]) -> u64 {
+    if mask == 0 {
+        return 0;
+    }
+    let mut seen = 1u64 << mask.trailing_zeros();
     let mut frontier = seen;
     while frontier != 0 {
         let mut next = 0u64;
@@ -294,7 +338,12 @@ fn is_connected(mask: u64, adj: &[u64]) -> bool {
         seen |= next;
         frontier = next;
     }
-    seen == mask
+    seen
+}
+
+/// Is the relation subset connected under the join edges?
+fn is_connected(mask: u64, adj: &[u64]) -> bool {
+    mask != 0 && component(mask, adj) == mask
 }
 
 /// Does any join edge cross the two masks?
@@ -431,6 +480,107 @@ mod tests {
         };
         let plan = opt.optimize(&q, &[vec![], vec![]], &mut est);
         assert_eq!(plan.mask(), 0b11);
+    }
+
+    /// Records every mask it is asked for, per-mask and batched apart.
+    #[derive(Default)]
+    struct Recorder {
+        singles: Vec<u64>,
+        batches: Vec<Vec<u64>>,
+    }
+
+    impl Recorder {
+        /// A deterministic, mask-dependent estimate (distinct sizes make
+        /// the DP's choices depend on every value).
+        fn value(mask: u64) -> f64 {
+            (mask.wrapping_mul(2_654_435_761) % 997) as f64 + 1.0
+        }
+    }
+
+    impl CardinalityEstimator for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn estimate(&mut self, _query: &Query, mask: u64) -> f64 {
+            self.singles.push(mask);
+            Recorder::value(mask)
+        }
+        fn estimate_subsets(&mut self, _query: &Query, masks: &[u64], out: &mut Vec<f64>) {
+            self.batches.push(masks.to_vec());
+            out.clear();
+            out.extend(masks.iter().map(|&m| Recorder::value(m)));
+        }
+    }
+
+    #[test]
+    fn batched_dp_requests_the_lazy_mask_set_and_plans_identically() {
+        let cases = [
+            // chain a–b–c: a,c alone is not connected.
+            (
+                chain3(),
+                vec![0b001, 0b010, 0b100, 0b011, 0b110, 0b111],
+                "HJ(IJ(Scan(0), 1), Scan(2))",
+            ),
+            // cartesian product: the disconnected full set is estimated.
+            (
+                parse_sql("SELECT COUNT(*) FROM a, b").unwrap(),
+                vec![0b01, 0b10, 0b11],
+                "HJ(Scan(0), Scan(1))",
+            ),
+            // a–b joined, c alone: full set disconnected, two components.
+            (
+                parse_sql("SELECT COUNT(*) FROM a, b, c WHERE a.x = b.x").unwrap(),
+                vec![0b001, 0b010, 0b100, 0b011, 0b111],
+                "HJ(IJ(Scan(0), 1), Scan(2))",
+            ),
+        ];
+        let opt = Optimizer::default();
+        // Expected masks and plans as the per-mask DP chose them before
+        // batching existed.
+        for (q, expected, described) in cases {
+            let indexed = vec![vec!["x".to_string()]; q.num_relations()];
+            // The lazy DP: each mask estimated when the DP first needs it.
+            let mut lazy = Recorder::default();
+            let lazy_plan = opt.dp(
+                &q,
+                &indexed,
+                &dp_masks(q.num_relations(), &adjacency(&q)),
+                &mut lazy_cards(&q, &mut lazy),
+            );
+            let mut batched = Recorder::default();
+            let plan = opt.optimize(&q, &indexed, &mut batched);
+            assert!(batched.singles.is_empty(), "DP must not estimate per mask");
+            assert_eq!(batched.batches.len(), 1, "one batched call per query");
+            let mut asked = batched.batches[0].clone();
+            assert_eq!(asked.len(), lazy.singles.len(), "no duplicates");
+            asked.sort_unstable();
+            let mut lazy_set = lazy.singles.clone();
+            lazy_set.sort_unstable();
+            let mut expected = expected;
+            expected.sort_unstable();
+            assert_eq!(asked, lazy_set);
+            assert_eq!(asked, expected);
+            assert_eq!(plan, lazy_plan, "{}", plan.describe());
+            assert_eq!(plan.describe(), described);
+        }
+    }
+
+    #[test]
+    fn greedy_estimates_per_mask() {
+        let mut sql = String::from("SELECT COUNT(*) FROM t0");
+        for i in 1..14 {
+            sql.push_str(&format!(", t{i}"));
+        }
+        let conds: Vec<String> = (1..14)
+            .map(|i| format!("t{}.x = t{}.x", i - 1, i))
+            .collect();
+        sql.push_str(&format!(" WHERE {}", conds.join(" AND ")));
+        let q = parse_sql(&sql).unwrap();
+        let mut rec = Recorder::default();
+        let plan = Optimizer::default().optimize(&q, &vec![vec![]; 14], &mut rec);
+        assert_eq!(plan.mask().count_ones(), 14);
+        assert!(rec.batches.is_empty(), "greedy must not batch");
+        assert!(rec.singles.len() >= 14);
     }
 
     #[test]

@@ -491,37 +491,107 @@ impl Query {
     /// with both endpoints selected, and the predicates of selected
     /// relations. Relation indices are compacted.
     pub fn induced(&self, mask: u64) -> Query {
-        let mut remap = vec![usize::MAX; self.relations.len()];
-        let mut relations = Vec::new();
-        for (i, r) in self.relations.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                remap[i] = relations.len();
-                relations.push(r.clone());
-            }
-        }
-        let joins = self
-            .joins
-            .iter()
-            .filter(|j| mask & (1 << j.left) != 0 && mask & (1 << j.right) != 0)
-            .map(|j| JoinEdge {
-                left: remap[j.left],
-                left_column: j.left_column.clone(),
-                right: remap[j.right],
-                right_column: j.right_column.clone(),
-            })
-            .collect();
-        let predicates = self
+        let mut sub = self.induced_topology(mask);
+        sub.predicates = self
             .predicates
             .iter()
-            .filter(|(r, _)| mask & (1 << r) != 0)
-            .map(|(r, p)| (remap[*r], p.clone()))
+            .filter(|(r, _)| in_mask(mask, *r))
+            .map(|(r, p)| (compact_index(mask, *r), p.clone()))
+            .collect();
+        sub
+    }
+
+    /// [`Query::induced`] without predicates: the selected relations and
+    /// the join edges with both endpoints selected, indices compacted. It
+    /// carries everything spanning relaxations, join graphs and bound
+    /// plans read, so estimators cache those per induced topology.
+    pub fn induced_topology(&self, mask: u64) -> Query {
+        let relations = self
+            .relations
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| in_mask(mask, *i))
+            .map(|(_, r)| r.clone())
+            .collect();
+        let joins = self
+            .induced_joins(mask)
+            .map(|j| JoinEdge {
+                left: compact_index(mask, j.left),
+                left_column: j.left_column.clone(),
+                right: compact_index(mask, j.right),
+                right_column: j.right_column.clone(),
+            })
             .collect();
         Query {
             relations,
             joins,
-            predicates,
+            predicates: Vec::new(),
         }
     }
+
+    /// `self.induced_topology(mask).shape_hash()`, computed without
+    /// materializing the sub-query (allocation-free).
+    pub fn topology_hash(&self, mask: u64) -> u64 {
+        let mut h = Fnv::new();
+        let selected = (0..self.relations.len()).filter(|&i| in_mask(mask, i));
+        h.usize(selected.clone().count());
+        for i in selected {
+            h.str(&self.relations[i].table);
+        }
+        h.usize(self.induced_joins(mask).count());
+        for j in self.induced_joins(mask) {
+            h.usize(compact_index(mask, j.left));
+            h.str(&j.left_column);
+            h.usize(compact_index(mask, j.right));
+            h.str(&j.right_column);
+        }
+        h.usize(0); // no predicates
+        h.finish()
+    }
+
+    /// True iff `other` has the shape of `self.induced_topology(mask)`:
+    /// the same tables in order, the same compacted join edges, and no
+    /// predicates. Allocation-free; the exact check behind
+    /// [`Query::topology_hash`].
+    pub fn same_topology(&self, mask: u64, other: &Query) -> bool {
+        let mut selected = (0..self.relations.len()).filter(|&i| in_mask(mask, i));
+        other.predicates.is_empty()
+            && other.relations.len() == selected.clone().count()
+            && other.relations.iter().all(|r| {
+                selected
+                    .next()
+                    .is_some_and(|i| self.relations[i].table == r.table)
+            })
+            && other.joins.len() == self.induced_joins(mask).count()
+            && other
+                .joins
+                .iter()
+                .zip(self.induced_joins(mask))
+                .all(|(o, j)| {
+                    o.left == compact_index(mask, j.left)
+                        && o.right == compact_index(mask, j.right)
+                        && o.left_column == j.left_column
+                        && o.right_column == j.right_column
+                })
+    }
+
+    /// The join edges with both endpoints in `mask`, in query order.
+    fn induced_joins(&self, mask: u64) -> impl Iterator<Item = &JoinEdge> + Clone {
+        self.joins
+            .iter()
+            .filter(move |j| in_mask(mask, j.left) && in_mask(mask, j.right))
+    }
+}
+
+/// Whether relation `i` is selected by `mask` (indices past 63 never are).
+fn in_mask(mask: u64, i: usize) -> bool {
+    i < 64 && mask & (1 << i) != 0
+}
+
+/// The index relation `i` takes in a sub-query induced by `mask`: the
+/// number of selected relations before it.
+fn compact_index(mask: u64, i: usize) -> usize {
+    (mask & ((1u64 << i) - 1)).count_ones() as usize
 }
 
 #[cfg(test)]
@@ -664,5 +734,40 @@ mod tests {
         assert_eq!(sub.joins[0].right, 1);
         assert_eq!(sub.predicates.len(), 1);
         assert_eq!(sub.predicates[0].0, 1);
+    }
+
+    #[test]
+    fn topology_hash_and_check_match_the_induced_topology() {
+        // A cycle with a parallel edge and a repeated table.
+        let mut q = Query::new();
+        let a = q.add_relation(RelationRef::new("a"));
+        let b = q.add_relation(RelationRef::new("b"));
+        let c = q.add_relation(RelationRef::aliased("a", "c"));
+        let d = q.add_relation(RelationRef::new("d"));
+        q.add_join(a, "x", b, "x");
+        q.add_join(b, "y", c, "y");
+        q.add_join(c, "x", a, "x");
+        q.add_join(b, "z", c, "z");
+        q.add_join(c, "w", d, "w");
+        q.add_predicate(b, Predicate::Eq("k".into(), Value::Int(1)));
+        for mask in 0..16u64 {
+            let topo = q.induced_topology(mask);
+            assert!(topo.predicates.is_empty());
+            let mut stripped = q.induced(mask);
+            stripped.predicates.clear();
+            assert_eq!(topo, stripped);
+            assert_eq!(q.topology_hash(mask), topo.shape_hash(), "mask {mask:#b}");
+            for other in 0..16u64 {
+                assert_eq!(
+                    q.same_topology(other, &topo),
+                    q.induced_topology(other).same_shape(&topo),
+                    "mask {other:#b} vs {mask:#b}"
+                );
+            }
+            // Predicates make it a different shape; bits past the last
+            // relation select nothing.
+            assert!(mask & (1 << b) == 0 || !q.same_topology(mask, &q.induced(mask)));
+            assert_eq!(q.topology_hash(mask | 1 << 63), q.topology_hash(mask));
+        }
     }
 }

@@ -210,15 +210,39 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
     }
 }
 
+/// Records the masks an optimizer asks for, batched or one by one.
+#[derive(Default)]
+struct MaskRecorder {
+    masks: Vec<u64>,
+}
+
+impl safebound_exec::CardinalityEstimator for MaskRecorder {
+    fn name(&self) -> &'static str {
+        "mask recorder"
+    }
+    fn estimate(&mut self, _query: &safebound_query::Query, mask: u64) -> f64 {
+        self.masks.push(mask);
+        mask.count_ones() as f64
+    }
+}
+
 /// Deterministic regression sweep over the generated benchmark workloads
-/// (tiny scale): SafeBound must never underestimate a single query.
+/// (tiny scale): SafeBound must never underestimate a single query, and
+/// the batched lattice path ([`SafeBound::bound_subsets`]) must give
+/// every mask the optimizer requests exactly the bound of the induced
+/// sub-query.
 #[test]
 fn workload_soundness_sweep() {
+    use safebound::core::BoundSession;
     use safebound_bench::{build_workloads, experiment_config, ExperimentScale};
+    use safebound_exec::Optimizer;
     let mut scale = ExperimentScale::smoke();
     scale.job_light_ranges_take = 10;
     for w in build_workloads(&scale) {
         let sb = SafeBound::build(&w.catalog, experiment_config());
+        let mut batched = BoundSession::new();
+        let mut reference = BoundSession::new();
+        let mut out = Vec::new();
         let queries: Vec<_> = w.queries.iter().take(30).collect();
         for bq in queries {
             let truth = exact_count(&w.catalog, &bq.query).unwrap() as f64;
@@ -230,6 +254,33 @@ fn workload_soundness_sweep() {
                 bq.name,
                 bq.sql
             );
+
+            let n = bq.query.num_relations();
+            let mut rec = MaskRecorder::default();
+            Optimizer::default().optimize(&bq.query, &vec![vec![]; n], &mut rec);
+            let full = (1u64 << n) - 1;
+            assert!(
+                rec.masks.contains(&full),
+                "{}: full mask requested",
+                bq.name
+            );
+            sb.bound_subsets(&bq.query, &rec.masks, &mut batched, &mut out);
+            for (&mask, got) in rec.masks.iter().zip(&out) {
+                let got = *got.as_ref().unwrap();
+                let want = sb
+                    .bound_with_session(&bq.query.induced(mask), &mut reference)
+                    .unwrap();
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{} / {} mask {mask:#b}: batched {got} vs per-mask {want}",
+                    w.name,
+                    bq.name
+                );
+                if mask == full {
+                    assert!(got >= truth * (1.0 - 1e-9), "{}: {got} < {truth}", bq.name);
+                }
+            }
         }
     }
 }

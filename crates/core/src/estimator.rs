@@ -27,9 +27,10 @@
 //!   load (no lock) because each session caches the `Arc` it last used.
 //! * **[`BoundSession`]** — mutable per-worker state: the query-shape
 //!   cache, the literal cache (whole-query bounds + per-relation
-//!   conditioned sets), the per-literal MCV memo, and every arena the
-//!   online path writes into. Sessions detect a swapped snapshot by build
-//!   id and repopulate lazily.
+//!   conditioned sets), the equality/range/LIKE resolve memos, the
+//!   compiled-query cache of [`SafeBound::bound_subsets`], and every
+//!   arena the online path writes into. Sessions detect a swapped
+//!   snapshot by build id and repopulate lazily.
 //!
 //! The expensive per-query work splits into two halves with different
 //! cacheability:
@@ -54,8 +55,8 @@
 //!   serving case runs in a few hundred nanoseconds), and a relation
 //!   whose literal sub-vector repeats copies its resolved conditioned
 //!   set instead of re-running MCV/histogram/n-gram lookups. Beneath
-//!   that, repeated equality literals (hot values) are served from a
-//!   per-session memo of resolved MCV lookups. The per-relation
+//!   that, repeated equality, range and LIKE literals are served from
+//!   per-session resolve memos. The per-relation
 //!   conditioned stats are resolved **once** and shared across all of a
 //!   cyclic query's relaxations (propagation uses the original query's
 //!   edges — a superset of every relaxation's edges — which is sound and
@@ -67,6 +68,11 @@
 //! relation's predicates once per query and caches plans per induced join
 //! topology (shape entries of predicate-free sub-queries), so it returns
 //! exactly the per-sub-query bounds at a fraction of their cost.
+//!
+//! Five of the session's caches — the equality, range and LIKE memos, the
+//! literal cache, and the compiled-query cache — are one primitive, a
+//! fingerprint-indexed [`ClockSlab`] with verified hits and second-chance
+//! eviction; only the shape cache (LRU) is separate.
 //!
 //! Cyclic queries take the min over their relaxations by
 //! **branch-and-bound** instead of materialize-everything-then-min: the
@@ -89,11 +95,12 @@
 //! eviction paths alike — runs entirely on session-owned pooled buffers).
 
 use crate::bound::{fdsb_with_cutoff, BoundError, BoundScratch, RelationBoundStats};
+use crate::clock_slab::ClockSlab;
 use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, SetOp};
 use crate::config::SafeBoundConfig;
 use crate::litcache::{self, LitCache};
 use crate::piecewise::PiecewiseLinear;
-use crate::simd::hash::FastMap;
+use crate::simd::hash::{fnv1a, FastMap};
 use crate::stats::{propagated_key, FilterColumnStats, StatsSnapshot, TableStats};
 use crate::symbol::Sym;
 use safebound_query::{BoundPlan, CmpOp, ColId, JoinGraph, Predicate, Query};
@@ -141,9 +148,10 @@ impl From<BoundError> for EstimateError {
 /// below it). At capacity the least-recently-used shape is evicted.
 const MAX_CACHED_SHAPES: usize = 1024;
 
-/// Cap on memoized per-literal MCV equality lookups per session (bounds
-/// session memory under adversarial literal churn). At capacity a clock
-/// sweep evicts cold entries, so late-arriving hot literals still enter.
+/// Cap on memoized MCV equality lookups per session (bounds session
+/// memory under adversarial literal churn). At capacity the memo's
+/// [`ClockSlab`] evicts cold entries, so late-arriving hot literals still
+/// enter.
 const MAX_EQ_MEMO_VALUES: usize = 4096;
 
 /// Cap on memoized range-lookup outcomes per session. Entries are tiny
@@ -156,7 +164,8 @@ const MAX_LIKE_MEMO_VALUES: usize = 1024;
 
 /// Default capacity of the per-session literal cache (whole-query bound
 /// entries plus per-relation conditioned-set entries combined; see
-/// [`crate::litcache`]). Clock-evicted at capacity, like the MCV memo.
+/// [`crate::litcache`]). Clock-evicted at capacity, like every
+/// [`ClockSlab`].
 const MAX_LIT_ENTRIES: usize = 8192;
 
 /// Whole queries whose compiled directives a session keeps for
@@ -232,7 +241,7 @@ fn stage_full_literals(query: &Query, stage: &mut LitStage) {
         }
         stage.spans.push((start, stage.full.len() as u32));
     }
-    stage.full_fp = litcache::fnv1a(&stage.full);
+    stage.full_fp = fnv1a(&stage.full);
 }
 
 /// Stage each relation's conditioned-cache sub-vector — its own literals
@@ -257,7 +266,7 @@ fn stage_rel_literals(entry: &ShapeEntry, stage: &mut LitStage) {
     }
     // Fingerprint four relations per pass: FNV is a serial multiply chain
     // per stream, but independent streams overlap in the core
-    // ([`crate::simd::hash::fnv1a_x4`] matches `litcache::fnv1a` lane for
+    // ([`crate::simd::hash::fnv1a_x4`] matches `fnv1a` lane for
     // lane).
     stage.rel_fp.clear();
     let mut rel = 0;
@@ -271,7 +280,7 @@ fn stage_rel_literals(entry: &ShapeEntry, stage: &mut LitStage) {
         rel += 4;
     }
     for r in rel..n {
-        stage.rel_fp.push(litcache::fnv1a(&stage.rel_bytes[r]));
+        stage.rel_fp.push(fnv1a(&stage.rel_bytes[r]));
     }
 }
 
@@ -321,25 +330,21 @@ struct RelaxScratch {
 /// A whole query's compiled predicate directives, keyed by its shape:
 /// what [`StatsSnapshot::bound_subsets`] needs of a shape entry without
 /// its plans (those come per sub-query topology).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CompiledQuery {
     /// Shape exemplar (literal values are ignored by comparisons).
     shape: Query,
-    /// The exemplar's [`Query::shape_hash`].
-    hash: u64,
     /// Per relation: compiled own and propagated directives.
     resolution: Vec<RelResolution>,
 }
 
 /// Session state of [`StatsSnapshot::bound_subsets`]. Buffers retain
 /// capacity across calls.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SubsetStage {
-    /// Recently compiled whole queries, at most [`MAX_COMPILED_QUERIES`].
-    compiled: Vec<CompiledQuery>,
-    /// The entry of `compiled` a new query replaces once it is full
-    /// (oldest first).
-    next_compiled: usize,
+    /// Recently compiled whole queries by [`Query::shape_hash`], verified
+    /// with [`Query::same_shape`]; at most [`MAX_COMPILED_QUERIES`].
+    compiled: ClockSlab<u64, CompiledQuery>,
     /// `(relation, in-mask propagation sources)` of each resolved entry of
     /// `conds`, in order. Entry `rel < n` is relation `rel`'s own
     /// predicate alone (no sources).
@@ -631,7 +636,7 @@ fn value_fp_words(v: &Value) -> (u64, u64) {
         (Some(i), _) => (1, i as u64),
         (None, Value::Null) => (0, 0),
         (None, Value::Float(f)) => (2, f.to_bits()),
-        (None, Value::Str(s)) => (3, litcache::fnv1a(s.as_bytes())),
+        (None, Value::Str(s)) => (3, fnv1a(s.as_bytes())),
         (None, Value::Int(_)) => unreachable!("integers always normalize"),
     }
 }
@@ -647,36 +652,27 @@ fn value_fp(v: &Value) -> u64 {
     fp_mix(fp_mix(FNV_BASIS, tag), payload)
 }
 
-/// Per-session memo of resolved MCV equality lookups, keyed by
-/// `(table symbol, filter slot) → literal`. Hot literals (repeated
-/// equality / IN values) skip the Bloom-filter probe and group-max
-/// entirely; a hit copies the memoized set through the arena, so the warm
-/// path stays allocation-free. At capacity a clock (second-chance) sweep
-/// evicts a cold entry, so literals that turn hot late still enter — the
-/// memo never freezes. Flushed whenever the session attaches to a
-/// different statistics build.
-#[derive(Debug)]
-struct EqMemo {
-    /// `(table, slot, literal fingerprint) → slab indices` (collision
-    /// bucket). Fingerprinting the literal keeps hit lookups to a single
-    /// map probe with no key clone; the stored literal is verified by
-    /// `==` on every hit.
-    map: FastMap<(Sym, u32, u64), Vec<usize>>,
-    /// Entry slab; the clock hand sweeps it in index order.
-    entries: Vec<EqMemoEntry>,
-    /// Max memoized literals before the clock starts evicting.
-    capacity: usize,
-    /// Clock hand: next slab index the eviction sweep examines.
-    hand: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+/// Fingerprint of a `[lo, hi]` range (range memo key material) over the
+/// same normalized words as [`value_fp`], so `Value`-equal probes — e.g.
+/// an integer and the float it normalizes from — fingerprint equally
+/// without staging any bytes.
+#[inline]
+fn range_fp(lo: &Value, hi: &Value) -> u64 {
+    use crate::simd::hash::FNV_BASIS;
+    let (tl, pl) = value_fp_words(lo);
+    let (th, ph) = value_fp_words(hi);
+    fp_mix(fp_mix(fp_mix(fp_mix(FNV_BASIS, tl), pl), th), ph)
 }
 
-/// One memoized literal with its second-chance bit.
-#[derive(Debug)]
-struct EqMemoEntry {
-    key: (Sym, u32, u64),
+/// Key of the resolve memos: `(table symbol, filter slot, literal
+/// fingerprint)`. Fingerprinting the literal keeps a hit to one map probe
+/// with no key clone; the stored literals verify every hit.
+type MemoKey = (Sym, u32, u64);
+
+/// A memoized MCV equality lookup. Hot literals (repeated equality / IN
+/// values) skip the Bloom-filter probe and group-max entirely.
+#[derive(Debug, Default)]
+struct EqEntry {
     value: Value,
     /// Which stored set answered (`Default`/`Group` hits are served as
     /// borrows of the stats; only `Owned` envelopes live in `set`).
@@ -684,390 +680,59 @@ struct EqMemoEntry {
     /// The memoized max-envelope (meaningful only when `outcome` is
     /// [`McvOutcome::Owned`]).
     set: CdsSet,
-    /// Set on every hit, cleared as the clock hand passes. Fresh entries
-    /// start unreferenced — a literal earns its second chance with a
-    /// repeat hit — so adversarial one-shot churn evicts other churn, not
-    /// the established hot set.
-    referenced: bool,
 }
 
-impl Default for EqMemo {
-    fn default() -> Self {
-        EqMemo::with_capacity(MAX_EQ_MEMO_VALUES)
-    }
-}
-
-impl EqMemo {
-    fn with_capacity(capacity: usize) -> Self {
-        EqMemo {
-            map: FastMap::default(),
-            entries: Vec::new(),
-            capacity,
-            hand: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The memoized outcome for `v`, if present. The returned set is the
-    /// entry's stored envelope — meaningful only for an
-    /// [`McvOutcome::Owned`] outcome (callers of `Default`/`Group`
-    /// outcomes borrow the answer from the stats instead).
-    fn lookup(&mut self, sym: Sym, slot: u32, v: &Value) -> Option<(McvOutcome, &CdsSet)> {
-        let fp = value_fp(v);
-        let bucket = self.map.get(&(sym, slot, fp))?;
-        let i = bucket
-            .iter()
-            .copied()
-            .find(|&i| self.entries[i].value == *v)?;
-        self.hits += 1;
-        let e = &mut self.entries[i];
-        e.referenced = true;
-        Some((e.outcome, &self.entries[i].set))
-    }
-
-    /// Memoize a freshly resolved literal (only ever called on the miss
-    /// path, where the full lookup already ran). `set` is read only for
-    /// [`McvOutcome::Owned`]. Beyond capacity the clock evicts the first
-    /// entry that went a full hand pass without a hit.
-    fn insert(&mut self, sym: Sym, slot: u32, v: &Value, outcome: McvOutcome, set: &CdsSet) {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        let stored = if outcome == McvOutcome::Owned {
-            set.clone()
-        } else {
-            CdsSet::default()
-        };
-        let key = (sym, slot, value_fp(v));
-        let i = if self.entries.len() < self.capacity {
-            self.entries.push(EqMemoEntry {
-                key,
-                value: v.clone(),
-                outcome,
-                set: stored,
-                referenced: false,
-            });
-            self.entries.len() - 1
-        } else {
-            // Second-chance sweep: terminates within two passes because
-            // the first pass clears every referenced bit it crosses.
-            let victim = loop {
-                let idx = self.hand;
-                self.hand = (self.hand + 1) % self.entries.len();
-                let e = &mut self.entries[idx];
-                if e.referenced {
-                    e.referenced = false;
-                } else {
-                    break idx;
-                }
-            };
-            let old_key = self.entries[victim].key;
-            if let Some(bucket) = self.map.get_mut(&old_key) {
-                bucket.retain(|&j| j != victim);
-                if bucket.is_empty() {
-                    self.map.remove(&old_key);
-                }
-            }
-            let e = &mut self.entries[victim];
-            e.key = key;
-            e.value = v.clone();
-            e.outcome = outcome;
-            e.set = stored;
-            e.referenced = false;
-            self.evictions += 1;
-            victim
-        };
-        self.map.entry(key).or_default().push(i);
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.hand = 0;
-    }
-}
-
-/// Session memo for range-lookup outcomes: `(table, slot, [lo, hi]) →`
-/// the histogram group that covered the range (or the no-cover outcome).
-/// Keyed by a literal fingerprint with the stored literals verified by
-/// `==` on every hit (the literal-cache pattern, which avoids cloning the
-/// probe `Value`s into a map key), with the equality memo's slab +
-/// second-chance clock and per-build flush. Zero-set outcomes (empty or
-/// inverted selections) are decided by plain `Value` comparisons *before*
-/// the lookup and are not memoized.
-#[derive(Debug)]
-struct RangeMemo {
-    /// `(table, slot, fingerprint) → slab indices` (collision bucket).
-    map: FastMap<(Sym, u32, u64), Vec<usize>>,
-    /// Entry slab; the clock hand sweeps it in index order.
-    entries: Vec<RangeMemoEntry>,
-    capacity: usize,
-    hand: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// One memoized range outcome with its second-chance bit.
-#[derive(Debug)]
-struct RangeMemoEntry {
-    key: (Sym, u32, u64),
+/// A memoized range lookup: the histogram group that covered `[lo, hi]`.
+/// Zero-set outcomes (empty or inverted selections) are decided by plain
+/// `Value` comparisons *before* the lookup and are not memoized.
+#[derive(Debug, Default)]
+struct RangeEntry {
     lo: Value,
     hi: Value,
     /// Covering group id into the histogram's shared group sets, `None`
     /// when no level covered the range (fall back to the unconditioned
     /// CDS — itself a memoizable outcome).
     group: Option<u32>,
-    referenced: bool,
 }
 
-impl Default for RangeMemo {
-    fn default() -> Self {
-        RangeMemo::with_capacity(MAX_RANGE_MEMO_VALUES)
-    }
-}
-
-impl RangeMemo {
-    fn with_capacity(capacity: usize) -> Self {
-        RangeMemo {
-            map: FastMap::default(),
-            entries: Vec::new(),
-            capacity,
-            hand: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Word-level FNV fingerprint of the `[lo, hi]` pair over the same
-    /// normalized tag/payload words as [`value_fp`], so `Value`-equal
-    /// probes — e.g. an integer and the float it normalizes from —
-    /// fingerprint equally without staging any bytes.
-    fn fingerprint(&self, lo: &Value, hi: &Value) -> u64 {
-        use crate::simd::hash::FNV_BASIS;
-        let (tl, pl) = value_fp_words(lo);
-        let (th, ph) = value_fp_words(hi);
-        fp_mix(fp_mix(fp_mix(fp_mix(FNV_BASIS, tl), pl), th), ph)
-    }
-
-    /// The memoized outcome for `[lo, hi]`, if present (`Some(None)` is a
-    /// memoized no-cover). Sound because `Value`-equal ranges resolve
-    /// identically: the lookup is pure `Value` comparisons.
-    fn lookup(&mut self, sym: Sym, slot: u32, lo: &Value, hi: &Value) -> Option<Option<u32>> {
-        let fp = self.fingerprint(lo, hi);
-        let bucket = self.map.get(&(sym, slot, fp))?;
-        for &i in bucket {
-            let e = &self.entries[i];
-            if e.lo == *lo && e.hi == *hi {
-                self.hits += 1;
-                let e = &mut self.entries[i];
-                e.referenced = true;
-                return Some(e.group);
-            }
-        }
-        None
-    }
-
-    /// Memoize a freshly computed outcome (miss path only).
-    fn insert(&mut self, sym: Sym, slot: u32, lo: &Value, hi: &Value, group: Option<u32>) {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        let fp = self.fingerprint(lo, hi);
-        let key = (sym, slot, fp);
-        let i = if self.entries.len() < self.capacity {
-            self.entries.push(RangeMemoEntry {
-                key,
-                lo: lo.clone(),
-                hi: hi.clone(),
-                group,
-                referenced: false,
-            });
-            self.entries.len() - 1
-        } else {
-            // Second-chance sweep (see [`EqMemo::insert`]).
-            let victim = loop {
-                let idx = self.hand;
-                self.hand = (self.hand + 1) % self.entries.len();
-                let e = &mut self.entries[idx];
-                if e.referenced {
-                    e.referenced = false;
-                } else {
-                    break idx;
-                }
-            };
-            let old_key = self.entries[victim].key;
-            if let Some(bucket) = self.map.get_mut(&old_key) {
-                bucket.retain(|&j| j != victim);
-                if bucket.is_empty() {
-                    self.map.remove(&old_key);
-                }
-            }
-            let e = &mut self.entries[victim];
-            e.key = key;
-            e.lo = lo.clone();
-            e.hi = hi.clone();
-            e.group = group;
-            e.referenced = false;
-            self.evictions += 1;
-            victim
-        };
-        self.map.entry(key).or_default().push(i);
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.hand = 0;
-    }
-}
-
-/// Session memo for LIKE resolutions: `(table, slot, pattern) →` the
-/// resolved conditioned set (or the no-gram outcome). Same fingerprint +
-/// verify keying, slab, and clock as [`RangeMemo`]; a hit copies the
-/// memoized set through the arena, skipping gram extraction, the Bloom
-/// probes, and the min-fold entirely.
-#[derive(Debug)]
-struct LikeMemo {
-    map: FastMap<(Sym, u32, u64), Vec<usize>>,
-    entries: Vec<LikeMemoEntry>,
-    capacity: usize,
-    hand: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// One memoized LIKE resolution with its second-chance bit.
-#[derive(Debug)]
-struct LikeMemoEntry {
-    key: (Sym, u32, u64),
+/// A memoized LIKE resolution: gram extraction, the Bloom probes and the
+/// min-fold are skipped on a hit.
+#[derive(Debug, Default)]
+struct LikeEntry {
     pattern: String,
     /// Resolved set; empty (and ignored) when `matched` is false.
     set: CdsSet,
     /// Whether the pattern yielded at least one full gram.
     matched: bool,
-    referenced: bool,
-}
-
-impl Default for LikeMemo {
-    fn default() -> Self {
-        LikeMemo::with_capacity(MAX_LIKE_MEMO_VALUES)
-    }
-}
-
-impl LikeMemo {
-    fn with_capacity(capacity: usize) -> Self {
-        LikeMemo {
-            map: FastMap::default(),
-            entries: Vec::new(),
-            capacity,
-            hand: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The memoized resolution for `pattern`: `(matched, set)`, the set
-    /// meaningful only when matched.
-    fn lookup(&mut self, sym: Sym, slot: u32, pattern: &str) -> Option<(bool, &CdsSet)> {
-        let fp = litcache::fnv1a(pattern.as_bytes());
-        let bucket = self.map.get(&(sym, slot, fp))?;
-        for &i in bucket {
-            if self.entries[i].pattern == pattern {
-                self.hits += 1;
-                self.entries[i].referenced = true;
-                let e = &self.entries[i];
-                return Some((e.matched, &e.set));
-            }
-        }
-        None
-    }
-
-    /// Memoize a freshly resolved pattern (miss path only); `set` is
-    /// `None` for unmatched patterns.
-    fn insert(&mut self, sym: Sym, slot: u32, pattern: &str, set: Option<&CdsSet>) {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        let fp = litcache::fnv1a(pattern.as_bytes());
-        let key = (sym, slot, fp);
-        let i = if self.entries.len() < self.capacity {
-            self.entries.push(LikeMemoEntry {
-                key,
-                pattern: pattern.to_owned(),
-                set: set.cloned().unwrap_or_default(),
-                matched: set.is_some(),
-                referenced: false,
-            });
-            self.entries.len() - 1
-        } else {
-            let victim = loop {
-                let idx = self.hand;
-                self.hand = (self.hand + 1) % self.entries.len();
-                let e = &mut self.entries[idx];
-                if e.referenced {
-                    e.referenced = false;
-                } else {
-                    break idx;
-                }
-            };
-            let old_key = self.entries[victim].key;
-            if let Some(bucket) = self.map.get_mut(&old_key) {
-                bucket.retain(|&j| j != victim);
-                if bucket.is_empty() {
-                    self.map.remove(&old_key);
-                }
-            }
-            let e = &mut self.entries[victim];
-            e.key = key;
-            e.pattern.clear();
-            e.pattern.push_str(pattern);
-            e.set = set.cloned().unwrap_or_default();
-            e.matched = set.is_some();
-            e.referenced = false;
-            self.evictions += 1;
-            victim
-        };
-        self.map.entry(key).or_default().push(i);
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.hand = 0;
-    }
 }
 
 /// The session's three resolve-phase memos (equality, range, LIKE),
 /// threaded through the resolver as one bundle and flushed together on
 /// [`BoundSession::attach`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Memos {
-    eq: EqMemo,
-    range: RangeMemo,
-    like: LikeMemo,
+    eq: ClockSlab<MemoKey, EqEntry>,
+    range: ClockSlab<MemoKey, RangeEntry>,
+    like: ClockSlab<MemoKey, LikeEntry>,
+}
+
+impl Default for Memos {
+    fn default() -> Self {
+        Memos::with_capacities(
+            MAX_EQ_MEMO_VALUES,
+            MAX_RANGE_MEMO_VALUES,
+            MAX_LIKE_MEMO_VALUES,
+        )
+    }
 }
 
 impl Memos {
-    /// All three memos capped at `capacity` (0 disables memoization).
-    fn with_capacity(capacity: usize) -> Self {
-        Memos::with_capacities(capacity, capacity, capacity)
-    }
-
     /// Per-kind capacities (0 disables that memo).
     fn with_capacities(eq: usize, range: usize, like: usize) -> Self {
         Memos {
-            eq: EqMemo::with_capacity(eq),
-            range: RangeMemo::with_capacity(range),
-            like: LikeMemo::with_capacity(like),
+            eq: ClockSlab::with_capacity(eq),
+            range: ClockSlab::with_capacity(range),
+            like: ClockSlab::with_capacity(like),
         }
     }
 
@@ -1166,12 +831,14 @@ pub struct PhaseBreakdown {
 }
 
 /// Reusable per-thread (per-worker) state for the online path: the
-/// query-shape plan/relaxation cache with LRU eviction, the per-literal
-/// MCV memo, the **literal cache** (whole-query bounds and per-relation
-/// conditioned sets, see [`crate::litcache`]), and every arena the online
-/// path writes into ([`BoundScratch`]
-/// for the kernel, [`CdsScratch`] for predicate resolution and assembly,
-/// pooled per-relation stats). Hold one per serving thread; a warm session
+/// query-shape plan/relaxation cache with LRU eviction, five
+/// clock-evicted [`ClockSlab`] caches — the equality, range and LIKE
+/// resolve memos, the **literal cache** (whole-query bounds and
+/// per-relation conditioned sets, see [`crate::litcache`]), and the
+/// compiled-query cache of [`SafeBound::bound_subsets`] — and every arena
+/// the online path writes into ([`BoundScratch`] for the kernel,
+/// [`CdsScratch`] for predicate resolution and assembly, pooled
+/// per-relation stats). Hold one per serving thread; a warm session
 /// allocates nothing per query on the cached path.
 ///
 /// A session also pins the [`StatsSnapshot`] it last served from, so a
@@ -1236,7 +903,12 @@ impl BoundSession {
             relax: RelaxScratch::default(),
             cds: CdsScratch::default(),
             cond: Vec::new(),
-            subsets: SubsetStage::default(),
+            subsets: SubsetStage {
+                compiled: ClockSlab::with_capacity(MAX_COMPILED_QUERIES),
+                keys: Vec::new(),
+                conds: Vec::new(),
+                sources: Vec::new(),
+            },
             timing: false,
             phases: PhaseBreakdown::default(),
             shape_hits: 0,
@@ -1271,28 +943,19 @@ impl BoundSession {
             like_memo_hits: self.memos.like.hits,
             like_memo_misses: self.memos.like.misses,
             like_memo_evictions: self.memos.like.evictions,
-            lit_bound_hits: self.lit_cache.bound_hits,
-            lit_bound_misses: self.lit_cache.bound_misses,
-            lit_cond_hits: self.lit_cache.cond_hits,
-            lit_cond_misses: self.lit_cache.cond_misses,
-            lit_evictions: self.lit_cache.evictions,
+            lit_bound_hits: self.lit_cache.bound_hits(),
+            lit_bound_misses: self.lit_cache.bound_misses(),
+            lit_cond_hits: self.lit_cache.cond_hits(),
+            lit_cond_misses: self.lit_cache.cond_misses(),
+            lit_evictions: self.lit_cache.evictions(),
             relaxations_pruned: self.relax.pruned,
         }
     }
 
-    /// Override the resolve-phase memo capacities — equality, range, and
-    /// LIKE alike (0 disables memoization; defaults 4096/4096/1024).
-    /// Existing memoized entries are discarded; intended for tests and
-    /// tuning.
-    pub fn with_memo_capacity(mut self, capacity: usize) -> Self {
-        self.memos = Memos::with_capacity(capacity);
-        self
-    }
-
-    /// [`with_memo_capacity`](Self::with_memo_capacity) with per-kind
-    /// capacities, so individual memos can be switched off — e.g. a
+    /// Override the resolve-phase memo capacities per kind — equality,
+    /// range, LIKE (defaults 4096/4096/1024; 0 disables that memo, e.g. a
     /// baseline benchmark keeping the equality memo while disabling the
-    /// range and LIKE memos. Existing memoized entries are discarded.
+    /// range and LIKE memos). Existing memoized entries are discarded.
     pub fn with_memo_capacities(mut self, eq: usize, range: usize, like: usize) -> Self {
         self.memos = Memos::with_capacities(eq, range, like);
         self
@@ -1334,7 +997,6 @@ impl BoundSession {
         self.memos.clear();
         self.lit_cache.clear();
         self.subsets.compiled.clear();
-        self.subsets.next_compiled = 0;
         self.snapshot = Some(snap.clone());
     }
 
@@ -1753,18 +1415,29 @@ impl StatsSnapshot {
         let BoundSession {
             memos,
             cds,
-            subsets: stage,
+            subsets:
+                SubsetStage {
+                    compiled,
+                    keys,
+                    conds,
+                    sources,
+                },
             ..
         } = &mut *session;
-        let compiled = self.compiled_index(query, stage);
-        let SubsetStage {
-            compiled: queries,
-            keys,
-            conds,
-            sources,
-            ..
-        } = stage;
-        let resolution = &queries[compiled].resolution;
+        let hash = query.shape_hash();
+        let resolution = match compiled.lookup(&hash, |c| c.shape.same_shape(query)) {
+            Some(c) => &c.resolution,
+            None => {
+                let c = compiled
+                    .claim(hash)
+                    // lint: allow(no-panic) -- the compiled-query cache is
+                    // built with the nonzero MAX_COMPILED_QUERIES capacity
+                    .expect("the compiled-query cache is enabled");
+                c.shape.clone_from(query);
+                c.resolution = self.compile_resolution(query);
+                &c.resolution
+            }
+        };
         keys.clear();
         sources.clear();
         for rel in 0..n {
@@ -1814,33 +1487,6 @@ impl StatsSnapshot {
             let mask = mask & valid;
             out.push(self.bound_mask(query, mask, &tables, session));
         }
-    }
-
-    /// Index into `stage.compiled` of the query's compiled directives,
-    /// compiling them (and replacing the oldest entry at capacity) on a
-    /// miss.
-    fn compiled_index(&self, query: &Query, stage: &mut SubsetStage) -> usize {
-        let hash = query.shape_hash();
-        if let Some(i) = stage
-            .compiled
-            .iter()
-            .position(|c| c.hash == hash && c.shape.same_shape(query))
-        {
-            return i;
-        }
-        let entry = CompiledQuery {
-            shape: query.clone(),
-            hash,
-            resolution: self.compile_resolution(query),
-        };
-        if stage.compiled.len() < MAX_COMPILED_QUERIES {
-            stage.compiled.push(entry);
-            return stage.compiled.len() - 1;
-        }
-        let i = stage.next_compiled;
-        stage.compiled[i] = entry;
-        stage.next_compiled = (i + 1) % MAX_COMPILED_QUERIES;
-        i
     }
 
     /// One mask of [`StatsSnapshot::bound_subsets`], after its first
@@ -2226,7 +1872,7 @@ fn memo_eq<'a>(
     memo_sym: Option<Sym>,
     v: &Value,
     scratch: &mut CdsScratch,
-    memo: &mut EqMemo,
+    memo: &mut ClockSlab<MemoKey, EqEntry>,
     out: &mut CdsSet,
 ) -> Resolved<'a> {
     let mcv = &fs.mcv;
@@ -2241,14 +1887,23 @@ fn memo_eq<'a>(
     let Some(sym) = memo_sym else {
         return serve(mcv.lookup_eq_outcome(v, scratch, out));
     };
-    if let Some((o, set)) = memo.lookup(sym, slot, v) {
-        if o == McvOutcome::Owned {
-            scratch.copy_set(set, out);
+    let key = (sym, slot, value_fp(v));
+    if let Some(e) = memo.lookup(&key, |e| e.value == *v) {
+        if e.outcome == McvOutcome::Owned {
+            scratch.copy_set(&e.set, out);
         }
-        return serve(o);
+        return serve(e.outcome);
     }
     let o = mcv.lookup_eq_outcome(v, scratch, out);
-    memo.insert(sym, slot, v, o, out);
+    if let Some(e) = memo.claim(key) {
+        e.value = v.clone();
+        e.outcome = o;
+        if o == McvOutcome::Owned {
+            scratch.copy_set(out, &mut e.set);
+        } else {
+            scratch.clear_set(&mut e.set);
+        }
+    }
     serve(o)
 }
 
@@ -2263,18 +1918,25 @@ fn memo_range<'a>(
     memo_sym: Option<Sym>,
     lo: &Value,
     hi: &Value,
-    memo: &mut RangeMemo,
+    memo: &mut ClockSlab<MemoKey, RangeEntry>,
 ) -> Resolved<'a> {
     let group = match memo_sym {
         None => hist.lookup_range_group(lo, hi),
-        Some(sym) => match memo.lookup(sym, slot, lo, hi) {
-            Some(g) => g.map(|g| g as usize),
-            None => {
-                let g = hist.lookup_range_group(lo, hi);
-                memo.insert(sym, slot, lo, hi, g.map(|g| g as u32));
-                g
+        Some(sym) => {
+            let key = (sym, slot, range_fp(lo, hi));
+            match memo.lookup(&key, |e| e.lo == *lo && e.hi == *hi) {
+                Some(e) => e.group.map(|g| g as usize),
+                None => {
+                    let g = hist.lookup_range_group(lo, hi);
+                    if let Some(e) = memo.claim(key) {
+                        e.lo = lo.clone();
+                        e.hi = hi.clone();
+                        e.group = g.map(|g| g as u32);
+                    }
+                    g
+                }
             }
-        },
+        }
     };
     match group {
         Some(g) => Resolved::Borrowed(
@@ -2389,16 +2051,24 @@ fn resolve_slots<'a>(
                     Resolved::None
                 };
             };
-            if let Some((matched, set)) = memo.like.lookup(sym, slot, pattern) {
-                if matched {
-                    scratch.copy_set(set, out);
+            let key = (sym, slot, fnv1a(pattern.as_bytes()));
+            if let Some(e) = memo.like.lookup(&key, |e| e.pattern == *pattern) {
+                if e.matched {
+                    scratch.copy_set(&e.set, out);
                     return Resolved::Owned;
                 }
                 return Resolved::None;
             }
             let matched = ng.lookup_like_into(pattern, scratch, out);
-            memo.like
-                .insert(sym, slot, pattern, matched.then_some(&*out));
+            if let Some(e) = memo.like.claim(key) {
+                e.pattern.clone_from(pattern);
+                e.matched = matched;
+                if matched {
+                    scratch.copy_set(out, &mut e.set);
+                } else {
+                    scratch.clear_set(&mut e.set);
+                }
+            }
             if matched {
                 Resolved::Owned
             } else {
@@ -3340,38 +3010,12 @@ mod tests {
     }
 
     #[test]
-    fn eq_memo_clock_evicts_cold_entries() {
-        // At capacity the memo must keep admitting literals: the clock
-        // evicts a cold entry, an entry with a repeat hit survives, and
-        // the hit/miss counters stay accurate throughout.
-        let mut symbols = crate::symbol::SymbolTable::new();
-        let t = symbols.intern("t");
-        let set = CdsSet::default();
-        let v = Value::Int;
-        let mut memo = EqMemo::with_capacity(2);
-        assert!(memo.lookup(t, 0, &v(1)).is_none());
-        memo.insert(t, 0, &v(1), McvOutcome::Owned, &set);
-        assert!(memo.lookup(t, 0, &v(2)).is_none());
-        memo.insert(t, 0, &v(2), McvOutcome::Owned, &set);
-        // Literal 1 turns hot (earns its second chance); 2 stays cold.
-        assert!(memo.lookup(t, 0, &v(1)).is_some());
-        // A third literal arrives at capacity: the clock evicts cold 2.
-        assert!(memo.lookup(t, 0, &v(3)).is_none());
-        memo.insert(t, 0, &v(3), McvOutcome::Owned, &set);
-        assert_eq!(memo.evictions, 1);
-        assert!(memo.lookup(t, 0, &v(1)).is_some(), "hot literal survives");
-        assert!(memo.lookup(t, 0, &v(3)).is_some(), "late literal entered");
-        assert!(memo.lookup(t, 0, &v(2)).is_none(), "cold literal evicted");
-        assert_eq!((memo.hits, memo.misses), (3, 3));
-    }
-
-    #[test]
     fn eq_memo_admits_hot_literals_after_saturation() {
         // End-to-end regression for the frozen-memo bug: a literal first
         // seen after the memo saturates must still become a memo hit.
         let (_, sb) = build();
         let mut session = BoundSession::default()
-            .with_memo_capacity(4)
+            .with_memo_capacities(4, 4, 4)
             .with_literal_capacity(0); // pin the MCV memo, not the literal cache
                                        // Saturate the memo with a churn of distinct literals (each query
                                        // memoizes the dimension literal and its propagated counterpart).

@@ -7,7 +7,7 @@
 //! ## Offline phase
 //! [`SafeBoundBuilder`](stats::SafeBoundBuilder) scans a
 //! [`Catalog`](safebound_storage::Catalog) and produces
-//! [`SafeBoundStats`](stats::SafeBoundStats): per join column, a compressed
+//! a [`StatsSnapshot`](stats::StatsSnapshot): per join column, a compressed
 //! cumulative degree sequence (CDS) produced by `ValidCompress`
 //! (Algorithm 1, [`compression::valid_compress`]); per filter column,
 //! CDSs conditioned on equality (MCV lists), ranges (a hierarchy of
@@ -63,6 +63,7 @@
 
 pub mod bloom;
 pub mod bound;
+mod clock_slab;
 pub mod clustering;
 pub mod compression;
 pub mod conditioning;
@@ -94,5 +95,5 @@ pub use simd::{tier as simd_tier, SimdTier};
 pub use snapshot_file::{
     load_snapshot, read_header, save_snapshot, SnapshotFileError, SnapshotHeader,
 };
-pub use stats::{SafeBoundBuilder, SafeBoundStats, StatsSnapshot, TableStats};
+pub use stats::{SafeBoundBuilder, StatsSnapshot, TableStats};
 pub use symbol::{Sym, SymbolTable};

@@ -8,13 +8,13 @@
 //! What *can* be exploited is instruction-level parallelism across
 //! independent streams: the kernels below keep 2 or 4 accumulators live in
 //! one pass so the out-of-order core overlaps the multiply chains. The
-//! per-stream math is byte-for-byte identical to the serial
-//! implementations in `litcache.rs`/`bloom.rs`, so no tier dispatch is
+//! per-stream math is byte-for-byte identical to the serial [`fnv1a`] and
+//! [`fnv1a_seeded`] below, so no tier dispatch is
 //! needed — the result is bit-identical by construction on every host.
 
-/// 64-bit FNV offset basis (matches `litcache::fnv1a`).
+/// 64-bit FNV offset basis.
 pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV prime (matches `litcache::fnv1a`).
+/// 64-bit FNV prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Seed mixing used by the Bloom filter's seeded FNV variant.
@@ -23,8 +23,8 @@ fn seeded_basis(seed: u64) -> u64 {
     FNV_BASIS ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Unseeded FNV-1a over one stream (reference mirror for the multi-stream
-/// kernels; identical to `litcache::fnv1a`).
+/// Unseeded FNV-1a over one stream: the fingerprint function of the
+/// session caches, and the reference mirror for the multi-stream kernels.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_BASIS;

@@ -265,9 +265,6 @@ pub struct StatsSnapshot {
     pub build_id: u64,
 }
 
-/// Former name of [`StatsSnapshot`], kept for downstream source compat.
-pub type SafeBoundStats = StatsSnapshot;
-
 // Compile-time guarantee: a snapshot is shareable across serving threads.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}

@@ -9,7 +9,9 @@
 //! Overlap is the point: literal pools are tiny, so batches are dense in
 //! exact repeats (bound-cache hits), partial repeats (conditioned-cache
 //! hits), and fresh vectors (full resolution), interleaved across acyclic
-//! and cyclic (multi-relaxation, pruning-active) templates.
+//! and cyclic (multi-relaxation, pruning-active) templates. A second
+//! session with tiny literal-cache and memo capacities serves the same
+//! batch, so the clock's eviction paths are held to the same reference.
 
 use proptest::prelude::*;
 use safebound_core::{fdsb, BoundSession, SafeBound, SafeBoundBuilder, SafeBoundConfig};
@@ -127,6 +129,12 @@ proptest! {
         let oracle_b = SafeBound::from_stats(build_b.clone());
 
         let mut session = BoundSession::default();
+        // Capacities far below the batch's distinct literals: every cache
+        // evicts constantly, and a victim left indexed would serve
+        // another key's entry.
+        let mut small = BoundSession::default()
+            .with_memo_capacities(2, 2, 2)
+            .with_literal_capacity(3);
         let swap_at = batch.len() * swap_at_frac / 100;
         for (i, &(t, a, b)) in batch.iter().enumerate() {
             if i == swap_at {
@@ -147,6 +155,13 @@ proptest! {
                 "query {} (template {}, lits {}/{}): cached {} != reference {}",
                 i, t, a, b, got, reference
             );
+            let evicting = sb.bound_with_session(&q, &mut small).unwrap();
+            prop_assert_eq!(
+                evicting.to_bits(),
+                reference.to_bits(),
+                "query {} (template {}, lits {}/{}): evicting {} != reference {}",
+                i, t, a, b, evicting, reference
+            );
         }
         // The batch design guarantees overlap: with ≥8 draws from a
         // 6×8×6 space, repeats are common — make sure the cache actually
@@ -155,6 +170,15 @@ proptest! {
         prop_assert!(
             stats.lit_bound_misses + stats.lit_bound_hits > 0,
             "literal cache never consulted"
+        );
+        let small_stats = small.stats();
+        prop_assert!(small_stats.lit_evictions > 0, "small literal cache never evicted");
+        prop_assert!(
+            small_stats.eq_memo_evictions
+                + small_stats.range_memo_evictions
+                + small_stats.like_memo_evictions
+                > 0,
+            "small resolve memos never evicted"
         );
     }
 }

@@ -32,12 +32,13 @@ impl fmt::Display for DataType {
     }
 }
 
-/// A single scalar value.
-#[derive(Debug, Clone)]
+/// A single scalar value (`Null` by default).
+#[derive(Debug, Clone, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// SQL NULL. Never equal to anything under SQL semantics, but for
     /// grouping/sorting purposes we treat NULL = NULL and NULL < everything.
+    #[default]
     Null,
     /// Integer value.
     Int(i64),

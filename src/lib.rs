@@ -44,7 +44,7 @@ pub mod prelude {
     pub use safebound_core::{
         fdsb, valid_compress, BoundSession, DegreeSequence, EstimateError, PhaseBreakdown,
         PiecewiseConstant, PiecewiseLinear, SafeBound, SafeBoundBuilder, SafeBoundConfig,
-        SafeBoundStats, Segmentation, SessionStats, StatsSnapshot,
+        Segmentation, SessionStats, StatsSnapshot,
     };
     pub use safebound_exec::{exact_count, CardinalityEstimator, CostModel, Optimizer};
     pub use safebound_query::{parse_sql, Predicate, Query};
